@@ -306,6 +306,35 @@ pub fn figures_report() -> String {
     out
 }
 
+// --- fingerprints --------------------------------------------------------
+
+/// The seeds `fingerprints.txt` pins every arm at.
+pub const FINGERPRINT_SEEDS: [u64; 3] = [8, 42, 1337];
+
+/// Exact content of `fingerprints.txt`: one `arm seed hash` line per
+/// registry arm and [`FINGERPRINT_SEEDS`] seed (seed-major, registry
+/// order), the hash being the streamed [`RunMode::Hash`] fingerprint that
+/// `lint --audit` prints. Sharded over `jobs` fleet workers; the reduce is
+/// index-ordered, so the bytes never depend on `jobs`.
+///
+/// [`RunMode::Hash`]: neat_repro::campaign::RunMode::Hash
+pub fn fingerprints_txt(jobs: usize) -> String {
+    use neat_repro::campaign::{arm_ids, run_arm, RunMode};
+    let arms = arm_ids();
+    let n = arms.len();
+    let hashes = fleet::pool::map(jobs, n * FINGERPRINT_SEEDS.len(), |k| {
+        run_arm(&arms[k % n], FINGERPRINT_SEEDS[k / n], RunMode::Hash)
+            .fingerprint
+            .hash()
+            .expect("Hash mode always yields a fingerprint hash")
+    });
+    let mut out = String::new();
+    for (k, hash) in hashes.iter().enumerate() {
+        w!(out, "{} {} {hash:016x}", arms[k % n].name, FINGERPRINT_SEEDS[k / n]);
+    }
+    out
+}
+
 // --- forensics -----------------------------------------------------------
 
 /// Exact content of `forensics_output.txt`: every flawed arm of the

@@ -30,7 +30,9 @@
 //!    *both* directions, every minimized row is still 1-minimal with a
 //!    firing flawed arm and a clean fixed arm, coverage-guided search
 //!    still strictly beats naive on at least two targets, and the
-//!    sharded exploration merge is still byte-identical.
+//!    sharded exploration merge is still byte-identical;
+//! 10. every `fingerprints.txt` line names a registered arm, and every
+//!    registered arm has exactly one line per pinned seed.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -88,6 +90,7 @@ pub fn check_registry(root: &Path) -> RegistryReport {
     check_test_references(root, &registered, &mut findings);
     check_workload_bench(root, &mut findings);
     check_explore_bench(root, &mut findings);
+    check_fingerprints(root, &mut findings);
 
     RegistryReport {
         scenarios: registered.len(),
@@ -432,6 +435,43 @@ fn check_workload_bench(root: &Path, findings: &mut Vec<RegistryFinding>) {
             ARTIFACT,
             "missing the open_loop byte_identical verdict".to_string(),
         ),
+    }
+}
+
+/// Check 10: fingerprints.txt ↔ the registry's arms, both directions:
+/// each `arm seed hash` line names a registered arm, and every seed the
+/// file pins covers every registered arm exactly once.
+fn check_fingerprints(root: &Path, findings: &mut Vec<RegistryFinding>) {
+    const ARTIFACT: &str = "fingerprints.txt";
+    let arms: BTreeSet<String> = neat_repro::campaign::arm_ids()
+        .into_iter()
+        .map(|a| a.name)
+        .collect();
+    let Some(text) = read(root, ARTIFACT, findings) else {
+        return;
+    };
+    let mut per_seed: std::collections::BTreeMap<&str, BTreeSet<&str>> = Default::default();
+    for (i, line) in text.lines().enumerate() {
+        let fields: Vec<&str> = line.split(' ').collect();
+        let [arm, seed, _hash] = fields[..] else {
+            push(findings, ARTIFACT, format!("line {} is not `arm seed hash`", i + 1));
+            continue;
+        };
+        if !arms.contains(arm) {
+            push(findings, ARTIFACT, format!("arm `{arm}` is not registered"));
+        }
+        if !per_seed.entry(seed).or_default().insert(arm) {
+            push(findings, ARTIFACT, format!("arm `{arm}` pinned twice at seed {seed}"));
+        }
+    }
+    for (seed, pinned) in &per_seed {
+        for arm in arms.iter().filter(|a| !pinned.contains(a.as_str())) {
+            push(
+                findings,
+                ARTIFACT,
+                format!("registered arm `{arm}` has no fingerprint at seed {seed}"),
+            );
+        }
     }
 }
 

@@ -14,6 +14,7 @@ const ARTIFACTS: &[&str] = &[
     "BENCH_fleet.json",
     "BENCH_workload.json",
     "BENCH_explore.json",
+    "fingerprints.txt",
 ];
 
 fn real_root() -> PathBuf {
@@ -52,7 +53,7 @@ fn real_registry_is_consistent() {
 
 #[test]
 fn untampered_copy_passes_clean() {
-    // The pass only reads the six artifacts plus tests/*.rs, so a
+    // The pass only reads the listed artifacts plus tests/*.rs, so a
     // faithful copy must come out clean too.
     let root = scratch_root("registry_clean");
     let report = check_registry(&root);
@@ -287,4 +288,30 @@ fn missing_artifact_is_reported_not_panicked() {
     std::fs::remove_file(root.join("BENCH_gray.json")).expect("remove artifact");
     let msgs = messages(&check_registry(&root));
     assert!(msgs.contains("BENCH_gray.json: cannot read artifact"), "{msgs}");
+}
+
+#[test]
+fn fingerprints_must_cover_the_registered_arms() {
+    // Renaming one arm's line at one seed: the ghost is unregistered AND
+    // the real arm lost its fingerprint at that seed.
+    let root = scratch_root("registry_fingerprints");
+    let path = root.join("fingerprints.txt");
+    let text = std::fs::read_to_string(&path).expect("read copy");
+    let tampered = text.replacen(
+        "dirty_and_stale_read/flawed 42 ",
+        "ghost_scenario/flawed 42 ",
+        1,
+    );
+    assert_ne!(text, tampered, "expected fingerprint line not found");
+    std::fs::write(&path, tampered).expect("write tampered copy");
+
+    let msgs = messages(&check_registry(&root));
+    assert!(
+        msgs.contains("arm `ghost_scenario/flawed` is not registered"),
+        "{msgs}"
+    );
+    assert!(
+        msgs.contains("registered arm `dirty_and_stale_read/flawed` has no fingerprint at seed 42"),
+        "{msgs}"
+    );
 }

@@ -79,6 +79,26 @@ fn forensics_output_is_fresh() {
     );
 }
 
+/// Every registry arm's streamed execution fingerprint at seeds 8, 42
+/// and 1337: a refactor that claims "same behaviour" must leave every
+/// line byte-identical.
+#[test]
+fn fingerprints_are_fresh() {
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
+    let committed = read("fingerprints.txt");
+    assert_eq!(
+        committed.lines().count(),
+        neat_repro::campaign::arm_ids().len() * bench::reports::FINGERPRINT_SEEDS.len(),
+        "fingerprints.txt must hold one line per registry arm and seed"
+    );
+    assert_fresh(
+        "fingerprints.txt",
+        &committed,
+        &bench::reports::fingerprints_txt(jobs),
+        "cargo run --release -p bench --bin fingerprints",
+    );
+}
+
 /// Unlike `BENCH_fleet.json`, the forensics counters carry no wall-clock
 /// numbers — the artifact is a pure function of the seed, so it gets the
 /// full byte-for-byte golden treatment.
@@ -295,6 +315,7 @@ fn all_golden_artifacts_exist() {
         "tables_output.txt",
         "figures_output.txt",
         "forensics_output.txt",
+        "fingerprints.txt",
         "BENCH_explore.json",
         "BENCH_fleet.json",
         "BENCH_forensics.json",
