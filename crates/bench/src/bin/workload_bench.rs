@@ -1,8 +1,10 @@
 //! Regenerates `BENCH_workload.json` at the repo root: the campaign's
 //! load-driven scenarios at the historical seed 8 — both arms' verdicts
-//! plus the flawed arm's per-op latency percentiles — and the million-op
-//! sharded open-loop read ladder, byte-compared across `--jobs 1/2/4/8`.
-//! Every number is virtual-time, so the artifact is fully deterministic.
+//! plus the flawed arm's per-op latency percentiles — the million-op
+//! sharded open-loop read ladder, byte-compared across `--jobs 1/2/4/8`,
+//! and the repkv write ladder (60 to 15,360 ops). Every number but the
+//! write ladder's allocation count is virtual-time, so the artifact is
+//! deterministic; the counting allocator makes that count exact too.
 //!
 //! ```text
 //! cargo run --release -p bench --bin workload_bench            # writes the artifact
@@ -11,6 +13,10 @@
 
 use std::io::Write;
 use std::process::ExitCode;
+
+// Counts the write ladder's allocations per op.
+#[global_allocator]
+static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
 
 /// Total operations of the open-loop read ladder (split over 8 shards).
 const LADDER_OPS: u64 = 1_000_000;

@@ -330,7 +330,12 @@ pub fn fingerprints_txt(jobs: usize) -> String {
     });
     let mut out = String::new();
     for (k, hash) in hashes.iter().enumerate() {
-        w!(out, "{} {} {hash:016x}", arms[k % n].name, FINGERPRINT_SEEDS[k / n]);
+        w!(
+            out,
+            "{} {} {hash:016x}",
+            arms[k % n].name,
+            FINGERPRINT_SEEDS[k / n]
+        );
     }
     out
 }
@@ -500,14 +505,28 @@ const LADDER_SHARDS: usize = 8;
 /// The `--jobs` rungs the determinism ladder climbs.
 const LADDER_JOBS: [usize; 4] = [1, 2, 4, 8];
 
+/// Op counts of the write ladder, 16x apart.
+pub const WRITE_LADDER_OPS: [u64; 3] = [60, 960, 15_360];
+
+/// One write-ladder rung: the driver report of the repkv retry-storm
+/// increment stream (no retry, seed 8, untraced) at `ops` ops, and its
+/// allocations per op — 0 unless the calling binary installed the
+/// counting allocator.
+pub fn write_ladder_rung(ops: u64) -> (workload::LoadReport, f64) {
+    let (report, allocs) =
+        alloc_counter::count_allocations(|| repkv::load::retry_storm_load_report(false, 8, ops));
+    (report, allocs as f64 / ops as f64)
+}
+
 /// Exact content of `BENCH_workload.json`: every load-driven scenario of
 /// the campaign at the historical seed 8 — both arms' checker verdicts,
 /// the flawed arm's per-op outcome counts and latency percentiles from
 /// the forensic timeline — plus the sharded open-loop read ladder:
 /// `ladder_ops` operations split over [`LADDER_SHARDS`] shards, run at
 /// every [`LADDER_JOBS`] rung, with the merged reports compared
-/// byte-for-byte. All numbers are virtual-time, so the artifact is fully
-/// deterministic; the binary runs the ladder at a million ops.
+/// byte-for-byte, plus the [`WRITE_LADDER_OPS`] write ladder. All numbers
+/// but `allocs_per_op` are virtual-time, so they are fully deterministic;
+/// the binary runs the read ladder at a million ops.
 pub fn workload_machine_json(ladder_ops: u64) -> String {
     let specs = neat_repro::campaign::registry();
     let load: Vec<&neat_repro::campaign::ScenarioSpec> = specs
@@ -609,7 +628,24 @@ pub fn workload_machine_json(ladder_ops: u64) -> String {
         merged.latency.max().unwrap_or(0),
     );
     study::json::push_json_str(&mut out, &rendered[0]);
-    out.push_str("}}");
+    out.push_str("},\"write_ladder\":{\"seed\":8,\"retry\":false,\"rungs\":[");
+    for (i, &ops) in WRITE_LADDER_OPS.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let (r, allocs_per_op) = write_ladder_rung(ops);
+        let _ = write!(
+            out,
+            "{{\"ops\":{ops},\"ok\":{},\"fail\":{},\"timeout\":{},\"p50\":{},\
+             \"p99\":{},\"allocs_per_op\":{allocs_per_op:.1}}}",
+            r.ok,
+            r.failed,
+            r.timed_out,
+            r.latency.p50().unwrap_or(0),
+            r.latency.p99().unwrap_or(0),
+        );
+    }
+    out.push_str("]}}");
     format!("{}\n", study::json::pretty(&out))
 }
 

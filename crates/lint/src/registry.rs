@@ -32,7 +32,7 @@
 //!    still strictly beats naive on at least two targets, and the
 //!    sharded exploration merge is still byte-identical;
 //! 10. every `fingerprints.txt` line names a registered arm, and every
-//!    registered arm has exactly one line per pinned seed.
+//!     registered arm has exactly one line per pinned seed.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -454,14 +454,22 @@ fn check_fingerprints(root: &Path, findings: &mut Vec<RegistryFinding>) {
     for (i, line) in text.lines().enumerate() {
         let fields: Vec<&str> = line.split(' ').collect();
         let [arm, seed, _hash] = fields[..] else {
-            push(findings, ARTIFACT, format!("line {} is not `arm seed hash`", i + 1));
+            push(
+                findings,
+                ARTIFACT,
+                format!("line {} is not `arm seed hash`", i + 1),
+            );
             continue;
         };
         if !arms.contains(arm) {
             push(findings, ARTIFACT, format!("arm `{arm}` is not registered"));
         }
         if !per_seed.entry(seed).or_default().insert(arm) {
-            push(findings, ARTIFACT, format!("arm `{arm}` pinned twice at seed {seed}"));
+            push(
+                findings,
+                ARTIFACT,
+                format!("arm `{arm}` pinned twice at seed {seed}"),
+            );
         }
     }
     for (seed, pinned) in &per_seed {

@@ -20,6 +20,7 @@ pub mod explorer;
 pub mod cluster;
 pub mod config;
 pub mod load;
+pub mod log;
 pub mod msg;
 pub mod scenarios;
 pub mod server;
@@ -27,6 +28,7 @@ pub mod server;
 pub use client::{KvClient, RetryingKvClient};
 pub use cluster::{Cluster, ClusterSpec, Proc};
 pub use config::{Config, ElectionPolicy, ReadPolicy, Replication};
+pub use log::Log;
 pub use msg::{Entry, EntryOp, LogSummary, Msg, Req, Resp};
 pub use server::{Role, Server};
 pub use explorer::RepkvTarget;

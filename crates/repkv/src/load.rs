@@ -120,6 +120,23 @@ pub fn load_retry_storm_gray_loss_with_ops(
     record: bool,
     ops: u64,
 ) -> ScenarioOutcome {
+    retry_storm(retry, seed, record, ops).0
+}
+
+/// The driver's final report of an untraced
+/// [`load_retry_storm_gray_loss_with_ops`] run: a write-only stream whose
+/// op count can grow without the run going quadratic (the write ladder of
+/// `BENCH_workload.json`).
+pub fn retry_storm_load_report(retry: bool, seed: u64, ops: u64) -> workload::LoadReport {
+    retry_storm(retry, seed, false, ops).1
+}
+
+fn retry_storm(
+    retry: bool,
+    seed: u64,
+    record: bool,
+    ops: u64,
+) -> (ScenarioOutcome, workload::LoadReport) {
     let mut cluster = Cluster::build(spec(Config::fixed(), seed, record));
     let leader = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     let c0 = cluster.clients[0];
@@ -164,13 +181,14 @@ pub fn load_retry_storm_gray_loss_with_ops(
 
     let leader_now = cluster.leader().unwrap_or(leader);
     let final_counter = cluster.kv_of(leader_now).get("counter").copied().unwrap_or(0);
+    let report = driver.report().clone();
     let mut outcome = finish(&mut cluster, &[], driver);
     let extra = check_counter(cluster.neat.history(), "counter", 0, final_counter);
     if !extra.is_empty() {
         outcome.timeline = cluster.neat.observe(&extra);
     }
     outcome.violations.extend(extra);
-    outcome
+    (outcome, report)
 }
 
 /// Overload during partition and heal: an open-loop rate ramp of reads
@@ -419,9 +437,8 @@ pub fn load_batched_write_atomicity(config: Config, seed: u64, record: bool) -> 
 /// matter how many fleet jobs ran them — that is the determinism claim
 /// `BENCH_workload.json` records.
 ///
-/// Reads only, on purpose: replication clones the full log per write, so
-/// a million-write stream would cost quadratic work. Reads leave the log
-/// at its seeded length and keep the million-op run linear.
+/// Reads only: the ladder measures the read path at a million ops; the
+/// write path has its own ladder ([`retry_storm_load_report`]).
 pub fn open_loop_read_shard(shard: u64, ops: u64) -> workload::LoadReport {
     let seed = 0xB01D_FACE ^ shard.wrapping_mul(0x9E37_79B9);
     let mut cluster = Cluster::build(spec(Config::fixed(), seed, false));

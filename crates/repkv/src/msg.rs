@@ -2,6 +2,8 @@
 
 use simnet::{NodeId, Time};
 
+use crate::log::Log;
+
 /// A log entry's effect on the key-value store.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum EntryOp {
@@ -88,21 +90,16 @@ pub enum Msg {
     Vote { term: u64, granted: bool },
     /// A voter (notably the arbiter) tells a superseded leader to step down.
     StepDown { term: u64 },
-    /// Leader → follower: full-log replication (logs are tiny in tests;
-    /// shipping the full log models the consolidation step directly).
-    Replicate {
-        summary: LogSummary,
-        log: Vec<Entry>,
-    },
+    /// Leader → follower: full-log replication. Shipping the whole log
+    /// models the consolidation step directly (the receiver replaces its
+    /// own); the [`Log`] is a shared snapshot, so sending it is O(1).
+    Replicate { summary: LogSummary, log: Log },
     /// Follower → leader: acknowledged log length.
     ReplicateAck { term: u64, acked_len: usize },
     /// A deposed or divergent node asks the leader for a full copy.
     SyncReq,
     /// Full-state answer to [`Msg::SyncReq`].
-    SyncResp {
-        summary: LogSummary,
-        log: Vec<Entry>,
-    },
+    SyncResp { summary: LogSummary, log: Log },
 }
 
 #[cfg(test)]

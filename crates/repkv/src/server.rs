@@ -24,6 +24,7 @@ use simnet::{Ctx, NodeId, Time, TimerId};
 
 use crate::{
     config::{Config, ElectionPolicy, ReadPolicy, Replication},
+    log::Log,
     msg::{Entry, EntryOp, LogSummary, Msg, Req, Resp},
 };
 
@@ -69,7 +70,7 @@ pub struct Server {
 
     // Persistent state (survives crashes).
     term: u64,
-    log: Vec<Entry>,
+    log: Log,
     committed: usize,
     voted_in: u64,
 
@@ -91,7 +92,10 @@ pub struct Server {
     /// Tail of an early-acked non-atomic batch, appended one entry per
     /// replication round trip (empty when `cfg.atomic_batch`).
     batch_queue: Vec<(String, u64)>,
+    /// The visible store: always the replay of `log[..applied]`.
     kv: BTreeMap<String, u64>,
+    /// The apply cursor: how much of the log `kv` reflects.
+    applied: usize,
     /// Count of elections this node has won, for thrash measurements.
     pub elections_won: u64,
 }
@@ -108,7 +112,7 @@ impl Server {
             cfg,
             is_arbiter,
             term: 0,
-            log: Vec::new(),
+            log: Log::new(),
             committed: 0,
             voted_in: 0,
             role: Role::Follower,
@@ -123,6 +127,7 @@ impl Server {
             match_len: BTreeMap::new(),
             batch_queue: Vec::new(),
             kv: BTreeMap::new(),
+            applied: 0,
             elections_won: 0,
         }
     }
@@ -143,7 +148,7 @@ impl Server {
     }
 
     /// The replicated log (for assertions).
-    pub fn log(&self) -> &[Entry] {
+    pub fn log(&self) -> &Log {
         &self.log
     }
 
@@ -186,7 +191,7 @@ impl Server {
             term: self.term,
             log_len: self.log.len(),
             committed: self.committed,
-            last_ts: self.log.last().map(|e| e.ts).unwrap_or(0),
+            last_ts: self.log.entries().last().map_or(0, |e| e.ts),
         }
     }
 
@@ -199,14 +204,31 @@ impl Server {
         }
     }
 
-    /// Rebuilds the visible store by replaying the applied prefix.
-    fn rebuild_kv(&mut self) {
-        self.kv.clear();
+    /// Brings the visible store up to the applied prefix. Only the
+    /// entries past the apply cursor are replayed; when the bound moved
+    /// back (a commit index that regressed) the store is replayed from
+    /// scratch, since applied entries cannot be un-applied.
+    fn catch_up_kv(&mut self) {
         let bound = self.apply_bound();
-        for i in 0..bound {
-            let e = self.log[i].clone();
-            Self::apply_to(&mut self.kv, &e);
+        if bound < self.applied {
+            self.reset_kv();
         }
+        for e in &self.log.entries()[self.applied..bound] {
+            Self::apply_to(&mut self.kv, e);
+        }
+        self.applied = bound;
+    }
+
+    /// Empties the visible store and rewinds the apply cursor.
+    fn reset_kv(&mut self) {
+        self.kv.clear();
+        self.applied = 0;
+    }
+
+    /// Rebuilds the visible store from scratch (recovery after a crash).
+    fn replay_kv(&mut self) {
+        self.reset_kv();
+        self.catch_up_kv();
     }
 
     fn apply_to(kv: &mut BTreeMap<String, u64>, e: &Entry) {
@@ -281,7 +303,7 @@ impl Server {
         self.missed_ack_rounds = 0;
         self.lease_until = 0;
         self.last_leader_contact = ctx.now();
-        self.rebuild_kv();
+        self.replay_kv();
         self.arm_election_timer(ctx);
     }
 
@@ -354,13 +376,7 @@ impl Server {
         let summary = self.summary();
         let log = self.log.clone();
         let replicas = self.data_replicas();
-        ctx.broadcast(
-            &replicas,
-            Msg::Replicate {
-                summary,
-                log,
-            },
-        );
+        ctx.broadcast(&replicas, Msg::Replicate { summary, log });
     }
 
     fn reply(&self, ctx: &mut Ctx<'_, Msg>, to: &ReplyTo, resp: Resp) {
@@ -409,7 +425,7 @@ impl Server {
                     Req::Incr { key, by } => (key, EntryOp::Incr(by)),
                     Req::Read { .. } | Req::Batch { .. } => unreachable!(),
                 };
-                self.append_entry(ctx, key, op);
+                self.append_entry(ctx.now(), key, op);
                 let idx = self.log.len();
                 self.ack_at(ctx, idx, reply);
                 self.broadcast_replicate(ctx);
@@ -424,7 +440,7 @@ impl Server {
                     // answered once the *last* entry commits, so either every
                     // entry is durable or the client never saw an Ok.
                     for (key, val) in ops {
-                        self.append_entry(ctx, key, EntryOp::Put(val));
+                        self.append_entry(ctx.now(), key, EntryOp::Put(val));
                     }
                     let idx = self.log.len();
                     self.ack_at(ctx, idx, reply);
@@ -434,7 +450,7 @@ impl Server {
                     // partition mid-batch strands the unreplicated suffix.
                     let mut ops = ops.into_iter();
                     if let Some((key, val)) = ops.next() {
-                        self.append_entry(ctx, key, EntryOp::Put(val));
+                        self.append_entry(ctx.now(), key, EntryOp::Put(val));
                     }
                     self.batch_queue.extend(ops);
                     self.reply(ctx, &reply, Resp::Ok);
@@ -446,16 +462,16 @@ impl Server {
 
     /// Appends one entry under the current term, applying it immediately
     /// when the profile applies before commit.
-    fn append_entry(&mut self, ctx: &mut Ctx<'_, Msg>, key: String, op: EntryOp) {
+    fn append_entry(&mut self, ts: Time, key: String, op: EntryOp) {
         let entry = Entry {
             term: self.term,
-            ts: ctx.now(),
+            ts,
             key,
             op,
         };
-        self.log.push(entry.clone());
+        self.log.push(entry);
         if self.cfg.apply_before_commit {
-            Self::apply_to(&mut self.kv, &entry);
+            self.catch_up_kv();
         }
     }
 
@@ -466,9 +482,7 @@ impl Server {
         if needed <= 1 {
             // Asynchronous replication: acknowledge right away.
             self.committed = self.committed.max(idx);
-            if !self.cfg.apply_before_commit {
-                self.rebuild_kv();
-            }
+            self.catch_up_kv();
             self.reply(ctx, &reply, Resp::Ok);
         } else {
             self.pending.insert(
@@ -485,12 +499,17 @@ impl Server {
 
     /// Adopts another node's full log (consolidation / sync): the local log
     /// is *replaced*, which is exactly how divergent acknowledged writes
-    /// get truncated away in the studied systems.
-    fn adopt_log(&mut self, summary: LogSummary, log: Vec<Entry>) {
+    /// get truncated away in the studied systems. When the new log
+    /// provably keeps the applied prefix, only its new entries are
+    /// replayed; otherwise (truncation, divergence) the store is rebuilt.
+    fn adopt_log(&mut self, summary: LogSummary, log: Log) {
+        if log.shared_prefix(&self.log) < self.applied {
+            self.reset_kv();
+        }
         self.log = log;
         self.committed = summary.committed.min(self.log.len());
         self.term = self.term.max(summary.term);
-        self.rebuild_kv();
+        self.catch_up_kv();
     }
 
     /// Message handler.
@@ -641,9 +660,7 @@ impl Server {
         // Learn commit advancement announced by the heartbeat.
         if summary.log_len == self.log.len() && summary.committed > self.committed {
             self.committed = summary.committed.min(self.log.len());
-            if !self.cfg.apply_before_commit {
-                self.rebuild_kv();
-            }
+            self.catch_up_kv();
         }
         if !self.is_arbiter && summary.log_len != self.log.len() {
             // Divergence after heal or a missed replication: pull the
@@ -712,7 +729,7 @@ impl Server {
         ctx: &mut Ctx<'_, Msg>,
         from: NodeId,
         summary: LogSummary,
-        log: Vec<Entry>,
+        log: Log,
     ) {
         if self.is_arbiter {
             return;
@@ -765,9 +782,7 @@ impl Server {
         for idx in ready {
             if let Some(p) = self.pending.remove(&idx) {
                 self.committed = self.committed.max(idx);
-                if !self.cfg.apply_before_commit {
-                    self.rebuild_kv();
-                }
+                self.catch_up_kv();
                 self.reply(ctx, &p.reply, Resp::Ok);
             }
         }
@@ -791,15 +806,13 @@ impl Server {
         let quorum = lens[lens.len().saturating_sub(self.needed_acks().min(lens.len()))];
         if quorum > self.committed {
             self.committed = quorum;
-            if !self.cfg.apply_before_commit {
-                self.rebuild_kv();
-            }
+            self.catch_up_kv();
         }
         // Drip the next entry of an early-acked batch once the follower has
         // caught up to the log as broadcast — one entry per round trip.
         if !self.batch_queue.is_empty() && acked_len >= self.log.len() {
             let (key, val) = self.batch_queue.remove(0);
-            self.append_entry(ctx, key, EntryOp::Put(val));
+            self.append_entry(ctx.now(), key, EntryOp::Put(val));
             self.broadcast_replicate(ctx);
         }
     }
@@ -880,7 +893,7 @@ impl Server {
         self.match_len.clear();
         self.batch_queue.clear();
         self.hb_acks.clear();
-        self.kv.clear();
+        self.reset_kv();
     }
 }
 
@@ -1027,16 +1040,130 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_kv_replays_puts_deletes_incrs() {
+    fn replay_kv_replays_puts_deletes_incrs() {
         let mut s = server_with(Config::voltdb());
-        s.log = vec![
+        s.log = Log::from(vec![
             Entry { term: 1, ts: 1, key: "a".into(), op: EntryOp::Put(5) },
             Entry { term: 1, ts: 2, key: "a".into(), op: EntryOp::Incr(3) },
             Entry { term: 1, ts: 3, key: "b".into(), op: EntryOp::Put(7) },
             Entry { term: 1, ts: 4, key: "b".into(), op: EntryOp::Delete },
-        ];
-        s.rebuild_kv();
+        ]);
+        s.replay_kv();
         assert_eq!(s.kv().get("a"), Some(&8));
         assert_eq!(s.kv().get("b"), None);
+    }
+
+    /// The reference the apply cursor must match: a from-scratch replay.
+    fn replay(entries: &[Entry]) -> BTreeMap<String, u64> {
+        let mut kv = BTreeMap::new();
+        for e in entries {
+            match e.op {
+                EntryOp::Put(v) => {
+                    kv.insert(e.key.clone(), v);
+                }
+                EntryOp::Delete => {
+                    kv.remove(&e.key);
+                }
+                EntryOp::Incr(by) => *kv.entry(e.key.clone()).or_insert(0) += by,
+            }
+        }
+        kv
+    }
+
+    fn random_op(rng: &mut impl Rng) -> (String, EntryOp) {
+        let key = format!("k{}", rng.gen_range(0..4));
+        let op = match rng.gen_range(0..3) {
+            0 => EntryOp::Put(rng.gen_range(0..100)),
+            1 => EntryOp::Delete,
+            _ => EntryOp::Incr(rng.gen_range(1..10)),
+        };
+        (key, op)
+    }
+
+    /// A seeded random walk over every way the log and the commit index
+    /// move — appends, adoptions that extend, shorten or diverge, commit
+    /// advance and regress, crash and restart — under both apply
+    /// disciplines. After every step the incrementally maintained store
+    /// must equal a from-scratch replay of the applied prefix.
+    #[test]
+    fn apply_cursor_matches_a_from_scratch_replay() {
+        use rand::{rngs::StdRng, SeedableRng};
+        for cfg in [Config::voltdb(), Config::fixed()] {
+            for seed in 0..4 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut s = server_with(cfg.clone());
+                let mut snapshots: Vec<Log> = vec![Log::new()];
+                let mut ts = 0;
+                for step in 0..1_500 {
+                    ts += 1;
+                    match rng.gen_range(0..8) {
+                        0 | 1 => {
+                            let (key, op) = random_op(&mut rng);
+                            s.append_entry(ts, key, op);
+                        }
+                        2 => {
+                            // Extending: the sender's log grew past ours.
+                            let mut log = s.log.clone();
+                            for _ in 0..rng.gen_range(1..4) {
+                                let (key, op) = random_op(&mut rng);
+                                log.push(Entry {
+                                    term: 1,
+                                    ts,
+                                    key,
+                                    op,
+                                });
+                            }
+                            let committed = rng.gen_range(0..=log.len());
+                            s.adopt_log(summary(1, log.len(), committed, ts), log);
+                        }
+                        3 => {
+                            // Shorter, or divergent: an old snapshot,
+                            // possibly grown along a different branch.
+                            let mut log = snapshots[rng.gen_range(0..snapshots.len())].clone();
+                            if rng.gen_bool(0.5) {
+                                let (key, op) = random_op(&mut rng);
+                                log.push(Entry {
+                                    term: 2,
+                                    ts,
+                                    key,
+                                    op,
+                                });
+                            }
+                            let committed = rng.gen_range(0..=log.len() + 1);
+                            s.adopt_log(summary(2, log.len(), committed, ts), log);
+                        }
+                        4 => {
+                            // Equal entries on a different buffer.
+                            let log = Log::from(s.log.entries().to_vec());
+                            s.adopt_log(summary(1, log.len(), s.committed, ts), log);
+                        }
+                        5 => {
+                            s.committed = rng.gen_range(s.committed..=s.log.len());
+                            s.catch_up_kv();
+                        }
+                        6 => {
+                            s.committed = rng.gen_range(0..=s.committed);
+                            s.catch_up_kv();
+                        }
+                        _ => {
+                            s.on_crash();
+                            assert!(s.kv().is_empty(), "a crash loses the volatile store");
+                            s.replay_kv();
+                        }
+                    }
+                    assert_eq!(
+                        s.kv(),
+                        &replay(&s.log.entries()[..s.apply_bound()]),
+                        "seed {seed} step {step}: the apply cursor drifted"
+                    );
+                    if rng.gen_bool(0.2) {
+                        snapshots.push(s.log.clone());
+                        if snapshots.len() > 8 {
+                            snapshots.remove(0);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -84,7 +84,9 @@ fn forensics_output_is_fresh() {
 /// line byte-identical.
 #[test]
 fn fingerprints_are_fresh() {
-    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
+    let jobs = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(8);
     let committed = read("fingerprints.txt");
     assert_eq!(
         committed.lines().count(),
@@ -276,6 +278,57 @@ fn workload_bench_artifact_matches_the_registry_shape() {
     assert!(
         !json.contains("\"byte_identical\": false"),
         "the sharded ladder diverged across jobs rungs — that is a determinism bug"
+    );
+}
+
+/// The repkv write ladder is cheap enough to regenerate: every rung's
+/// outcome counts and virtual-time percentiles are pinned exactly. Its
+/// allocation counts need the counting allocator (the perf gate checks
+/// them live), so here only their committed shape is held flat.
+#[test]
+fn workload_write_ladder_is_fresh() {
+    use study::json::Value;
+    let doc = study::json::parse(&read("BENCH_workload.json")).expect("BENCH_workload.json parses");
+    let rungs = doc
+        .get("write_ladder")
+        .and_then(|w| w.get("rungs"))
+        .and_then(Value::as_array)
+        .expect("BENCH_workload.json lacks write_ladder.rungs");
+    assert_eq!(rungs.len(), bench::reports::WRITE_LADDER_OPS.len());
+    let field = |rung: &Value, key: &str| {
+        rung.get(key)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("write-ladder rung lacks `{key}`"))
+    };
+    let mut allocs = Vec::new();
+    for (rung, &ops) in rungs.iter().zip(&bench::reports::WRITE_LADDER_OPS) {
+        let (r, _) = bench::reports::write_ladder_rung(ops);
+        let regenerated = [
+            ("ops", ops),
+            ("ok", r.ok),
+            ("fail", r.failed),
+            ("timeout", r.timed_out),
+            ("p50", r.latency.p50().unwrap_or(0)),
+            ("p99", r.latency.p99().unwrap_or(0)),
+        ];
+        for (key, value) in regenerated {
+            assert_eq!(
+                field(rung, key),
+                value,
+                "write-ladder rung {ops} `{key}` is stale; refresh with \
+                 `cargo run --release -p bench --bin workload_bench`"
+            );
+        }
+        match rung.get("allocs_per_op") {
+            Some(Value::Num(n)) => {
+                allocs.push(n.parse::<f64>().expect("allocs_per_op is a number"))
+            }
+            _ => panic!("write-ladder rung {ops} lacks `allocs_per_op`"),
+        }
+    }
+    assert!(
+        allocs.iter().all(|a| *a > 0.0 && *a <= 1.5 * allocs[0]),
+        "committed write-ladder allocations per op are not flat: {allocs:?}"
     );
 }
 

@@ -165,3 +165,25 @@ fn event_volume_matches_the_committed_perf_artifact() {
         );
     }
 }
+
+/// The repkv write path must stay linear: allocations per op of the
+/// write-only retry-storm stream may not grow with the stream length.
+/// Whole-log replication once cloned the full log per write and per
+/// replica, and rebuilt the store from scratch per commit, so the
+/// 3,840-op figure was 15x the 240-op one.
+#[test]
+fn repkv_write_path_allocations_per_op_stay_flat() {
+    let allocs_per_op = |ops: u64| {
+        let (_, allocs) = alloc_counter::count_allocations(|| {
+            repkv::load::load_retry_storm_gray_loss_with_ops(false, 8, false, ops)
+        });
+        allocs as f64 / ops as f64
+    };
+    let short = allocs_per_op(240);
+    let long = allocs_per_op(3_840);
+    assert!(
+        long <= 1.5 * short,
+        "repkv allocations per op grew from {short:.1} at 240 ops to {long:.1} at 3,840: \
+         the write path went superlinear"
+    );
+}
