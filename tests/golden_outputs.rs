@@ -6,6 +6,8 @@
 
 use std::path::{Path, PathBuf};
 
+use study::json::Value;
+
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
@@ -241,7 +243,7 @@ fn perf_bench_artifact_matches_the_registry_shape() {
 /// inside a debug test — but its *shape* must track the registry: every
 /// load-driven scenario present with both arms' verdicts, the op and
 /// latency keys the README points at, and a clean determinism verdict on
-/// the sharded open-loop ladder.
+/// the sharded open-loop ladder. Its repkv write ladder is regenerated.
 #[test]
 fn workload_bench_artifact_matches_the_registry_shape() {
     let json = read("BENCH_workload.json");
@@ -279,16 +281,12 @@ fn workload_bench_artifact_matches_the_registry_shape() {
         !json.contains("\"byte_identical\": false"),
         "the sharded ladder diverged across jobs rungs — that is a determinism bug"
     );
-}
 
-/// The repkv write ladder is cheap enough to regenerate: every rung's
-/// outcome counts and virtual-time percentiles are pinned exactly. Its
-/// allocation counts need the counting allocator (the perf gate checks
-/// them live), so here only their committed shape is held flat.
-#[test]
-fn workload_write_ladder_is_fresh() {
-    use study::json::Value;
-    let doc = study::json::parse(&read("BENCH_workload.json")).expect("BENCH_workload.json parses");
+    // The repkv write ladder is cheap enough to regenerate: every rung's
+    // outcome counts and virtual-time percentiles are pinned exactly. Its
+    // allocation counts need the counting allocator (the perf gate checks
+    // them live), so here only their committed shape is held flat.
+    let doc = study::json::parse(&json).expect("BENCH_workload.json parses");
     let rungs = doc
         .get("write_ladder")
         .and_then(|w| w.get("rungs"))
