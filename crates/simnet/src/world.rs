@@ -7,9 +7,26 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::{
     event::{EventKind, EventQueue, Time, TimerId},
     net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig, Net},
-    trace::{DropReason, Trace, TraceEvent},
+    trace::{Trace, TraceEvent},
     NodeId,
 };
+
+/// Why a message was dropped instead of delivered; selects the counter the
+/// drop is charged to.
+enum DropReason {
+    /// A block rule covered the directed pair at delivery time.
+    Partition,
+    /// The flaky-link model dropped the message
+    /// ([`crate::LinkConfig::drop_probability`]).
+    Flaky,
+    /// A per-link [`crate::DegradeRule`] lost the message — targeted
+    /// gray-failure loss, distinct from the global flaky model.
+    Degraded,
+    /// The destination node was crashed at delivery time.
+    DeadDestination,
+    /// The source node crashed between send and delivery.
+    DeadSource,
+}
 
 /// Errors returned by the external control API.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -40,7 +57,7 @@ impl std::error::Error for SimError {}
 /// handlers never observe partially applied effects.
 pub trait Application: 'static {
     /// The message type exchanged between nodes of this application.
-    type Msg: Clone + std::fmt::Debug + 'static;
+    type Msg: Clone + 'static;
 
     /// Called once when the node boots (and again after a restart, unless
     /// [`Application::on_restart`] is overridden).
@@ -202,7 +219,8 @@ impl WorldBuilder {
         self
     }
 
-    /// Enables full per-event trace recording.
+    /// Enables trace recording: notes, rule installs and removals, crashes
+    /// and restarts (see [`Trace::events`]). Counters are kept either way.
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
         self
@@ -313,11 +331,6 @@ impl<A: Application> World<A> {
     /// Execution trace and counters.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Mutable trace access (e.g., to clear recorded events between phases).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// Installs a block rule over explicit directed pairs. Most callers use
@@ -435,28 +448,12 @@ impl<A: Application> World<A> {
             match a {
                 Action::Send { to, msg } => {
                     self.trace.counters.sent += 1;
-                    if self.trace.recording() {
-                        self.trace.push(TraceEvent::Sent {
-                            at: self.now,
-                            from,
-                            to,
-                            what: format!("{msg:?}"),
-                        });
-                    }
                     let at = self.net.delivery_time(self.now, from, to, &mut self.rng);
                     // Duplication is drawn once at send time (a duplicate is
                     // never re-duplicated) and the copy gets its own latency
                     // draw, so it can arrive before or after the original.
                     if self.net.degrade_dup(self.now, from, to, &mut self.rng) {
                         self.trace.counters.duplicated += 1;
-                        if self.trace.recording() {
-                            self.trace.push(TraceEvent::Duplicated {
-                                at: self.now,
-                                from,
-                                to,
-                                what: format!("{msg:?}"),
-                            });
-                        }
                         let at2 = self.net.delivery_time(self.now, from, to, &mut self.rng);
                         self.queue.push(
                             at2,
@@ -526,15 +523,6 @@ impl<A: Application> World<A> {
                     return true;
                 }
                 self.trace.counters.timers_fired += 1;
-                // Guarded like the delivery sites: skip even constructing
-                // the trace event when nothing records it.
-                if self.trace.recording() {
-                    self.trace.push(TraceEvent::TimerFired {
-                        at: self.now,
-                        node,
-                        tag,
-                    });
-                }
                 self.with_handler(node, |app, ctx| app.on_timer(ctx, id, tag));
             }
         }
@@ -562,26 +550,9 @@ impl<A: Application> World<A> {
                 DropReason::Degraded => self.trace.counters.dropped_degraded += 1,
                 _ => self.trace.counters.dropped_dead += 1,
             }
-            if self.trace.recording() {
-                self.trace.push(TraceEvent::Dropped {
-                    at: self.now,
-                    from,
-                    to,
-                    what: format!("{msg:?}"),
-                    reason,
-                });
-            }
             return;
         }
         self.trace.counters.delivered += 1;
-        if self.trace.recording() {
-            self.trace.push(TraceEvent::Delivered {
-                at: self.now,
-                from,
-                to,
-                what: format!("{msg:?}"),
-            });
-        }
         self.with_handler(to, |app, ctx| app.on_message(ctx, from, msg));
     }
 

@@ -97,20 +97,28 @@ impl Application for Storm {
 fn steady_state_delivery_path_allocates_nothing() {
     // After a short warm-up (arena slots recycled, heap and action buffer
     // at capacity, link matrix grown), ping-pong delivery must run
-    // allocation-free: pop reuses the arena slot its push freed.
-    let mut w = WorldBuilder::new(1).event_capacity(16).build(2, |_| Pinger);
-    for _ in 0..100 {
-        w.step();
-    }
-    let (_, allocs) = alloc_counter::count_allocations(|| {
-        for _ in 0..10_000 {
+    // allocation-free: pop reuses the arena slot its push freed. A
+    // recorded run logs no per-message events, so it is held to the same
+    // zero.
+    for record in [false, true] {
+        let mut w = WorldBuilder::new(1)
+            .event_capacity(16)
+            .record_trace(record)
+            .build(2, |_| Pinger);
+        for _ in 0..100 {
             w.step();
         }
-    });
-    assert_eq!(
-        allocs, 0,
-        "steady-state message delivery allocated: the arena/heap hot path regressed"
-    );
+        let (_, allocs) = alloc_counter::count_allocations(|| {
+            for _ in 0..10_000 {
+                w.step();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "steady-state message delivery allocated (record_trace={record}): \
+             the arena/heap hot path or the trace regressed"
+        );
+    }
 }
 
 #[test]
@@ -123,27 +131,35 @@ fn steady_state_timer_path_allocates_nothing() {
     // rotation, stop right after a boundary, and keep the window well
     // short of the next one. Virtual time is a pure function of the
     // seed, so the window bound below is deterministic, not a timing.
-    let mut w = WorldBuilder::new(1).event_capacity(64).build(4, |_| Storm);
-    // Three rotations, not one: bucket capacities keep creeping up for a
-    // while because each rotation packs slightly different timer batches
-    // into the same slots.
-    while w.now() < 3 * (1 << 12) {
-        assert!(w.step(), "timer storm ran dry during warm-up");
-    }
-    let (_, allocs) = alloc_counter::count_allocations(|| {
-        for _ in 0..5_000 {
-            w.step();
+    // Recording does not log timer fires, so both runs must allocate
+    // nothing.
+    for record in [false, true] {
+        let mut w = WorldBuilder::new(1)
+            .event_capacity(64)
+            .record_trace(record)
+            .build(4, |_| Storm);
+        // Three rotations, not one: bucket capacities keep creeping up for
+        // a while because each rotation packs slightly different timer
+        // batches into the same slots.
+        while w.now() < 3 * (1 << 12) {
+            assert!(w.step(), "timer storm ran dry during warm-up");
         }
-    });
-    assert!(
-        w.now() < 4 * (1 << 12) - 8,
-        "measurement window reached the next level-2 boundary at t={}; shrink it",
-        w.now()
-    );
-    assert_eq!(
-        allocs, 0,
-        "steady-state timer fire/re-arm allocated: the wheel hot path regressed"
-    );
+        let (_, allocs) = alloc_counter::count_allocations(|| {
+            for _ in 0..5_000 {
+                w.step();
+            }
+        });
+        assert!(
+            w.now() < 4 * (1 << 12) - 8,
+            "measurement window reached the next level-2 boundary at t={}; shrink it",
+            w.now()
+        );
+        assert_eq!(
+            allocs, 0,
+            "steady-state timer fire/re-arm allocated (record_trace={record}): \
+             the wheel hot path or the trace regressed"
+        );
+    }
 }
 
 #[test]

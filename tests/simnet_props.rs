@@ -1,5 +1,5 @@
 //! Property tests for the simulator substrate: determinism, FIFO links,
-//! and partition semantics under arbitrary fault schedules.
+//! partition semantics and trace recording under arbitrary fault schedules.
 
 use proptest::prelude::*;
 use simnet::{
@@ -55,11 +55,26 @@ fn act_strategy(n: u8) -> impl Strategy<Value = Act> {
     ]
 }
 
+/// What one execution of a schedule produced.
+struct Run {
+    /// Every node's delivery log.
+    logs: Vec<Vec<(NodeId, u64)>>,
+    counters: simnet::trace::Counters,
+    /// `Trace::summary()`; empty unless the run recorded.
+    summary: String,
+    /// Calls the schedule made to `block_pairs`, `unblock`, `degrade_pairs`
+    /// and `undegrade`, in that order.
+    rule_calls: [usize; 4],
+}
+
 /// Executes a schedule, returning a full fingerprint of the run.
-fn run(seed: u64, acts: &[Act], n: usize) -> (Vec<Vec<(NodeId, u64)>>, simnet::trace::Counters) {
-    let mut w = WorldBuilder::new(seed).build(n, |_| Recorder::default());
+fn run(seed: u64, acts: &[Act], n: usize, record: bool) -> Run {
+    let mut w = WorldBuilder::new(seed)
+        .record_trace(record)
+        .build(n, |_| Recorder::default());
     let mut rules = Vec::new();
     let mut degrades = Vec::new();
+    let mut rule_calls = [0; 4];
     for act in acts {
         match act {
             Act::Send { from, to, val } => {
@@ -71,6 +86,7 @@ fn run(seed: u64, acts: &[Act], n: usize) -> (Vec<Vec<(NodeId, u64)>>, simnet::t
                 let b = NodeId(*b as usize % n);
                 if a != b {
                     rules.push(w.block_pairs(bidirectional_pairs(&[a], &[b])));
+                    rule_calls[0] += 1;
                 }
             }
             Act::Degrade { a, b, loss, dup, extra, flap } => {
@@ -85,14 +101,17 @@ fn run(seed: u64, acts: &[Act], n: usize) -> (Vec<Vec<(NodeId, u64)>>, simnet::t
                         flap_period: u64::from(*flap) * 50,
                     };
                     degrades.push(w.degrade_pairs(bidirectional_pairs(&[a], &[b]), rule));
+                    rule_calls[2] += 1;
                 }
             }
             Act::HealAll => {
                 for r in rules.drain(..) {
                     w.unblock(r);
+                    rule_calls[1] += 1;
                 }
                 for d in degrades.drain(..) {
                     w.undegrade(d);
+                    rule_calls[3] += 1;
                 }
             }
             Act::Crash { node } => {
@@ -105,8 +124,12 @@ fn run(seed: u64, acts: &[Act], n: usize) -> (Vec<Vec<(NodeId, u64)>>, simnet::t
         }
     }
     w.run_for(1000);
-    let logs = (0..n).map(|i| w.app(NodeId(i)).seen.clone()).collect();
-    (logs, w.trace().counters)
+    Run {
+        logs: (0..n).map(|i| w.app(NodeId(i)).seen.clone()).collect(),
+        counters: w.trace().counters,
+        summary: w.trace().summary(),
+        rule_calls,
+    }
 }
 
 proptest! {
@@ -115,10 +138,39 @@ proptest! {
     /// The same seed and schedule always produce the identical execution.
     #[test]
     fn determinism(seed in 0u64..1000, acts in proptest::collection::vec(act_strategy(4), 0..40)) {
-        let a = run(seed, &acts, 4);
-        let b = run(seed, &acts, 4);
-        prop_assert_eq!(a.0, b.0);
-        prop_assert_eq!(a.1, b.1);
+        let a = run(seed, &acts, 4, false);
+        let b = run(seed, &acts, 4, false);
+        prop_assert_eq!(a.logs, b.logs);
+        prop_assert_eq!(a.counters, b.counters);
+    }
+
+    /// Recording only observes: a recorded run delivers and counts exactly
+    /// what an unrecorded one does, and its summary holds one line per rule
+    /// call, crash and restart — no line for any message or timer.
+    #[test]
+    fn recording_only_observes(seed in 0u64..1000, acts in proptest::collection::vec(act_strategy(4), 0..40)) {
+        let plain = run(seed, &acts, 4, false);
+        let recorded = run(seed, &acts, 4, true);
+        prop_assert_eq!(&recorded.logs, &plain.logs);
+        prop_assert_eq!(recorded.counters, plain.counters);
+        prop_assert!(plain.summary.is_empty());
+
+        let lines: Vec<&str> = recorded.summary.lines().collect();
+        let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
+        let [blocks, unblocks, degrades, undegrades] = recorded.rule_calls;
+        let c = recorded.counters;
+        prop_assert_eq!(count(" net  install rule "), blocks);
+        prop_assert_eq!(count(" net  heal rule "), unblocks);
+        prop_assert_eq!(count(" net  degrade rule "), degrades);
+        prop_assert_eq!(count(" net  restore rule "), undegrades);
+        prop_assert_eq!(count("  CRASH"), c.crashes as usize);
+        prop_assert_eq!(count("  RESTART"), c.restarts as usize);
+        prop_assert_eq!(
+            lines.len(),
+            blocks + unblocks + degrades + undegrades + (c.crashes + c.restarts) as usize,
+            "summary holds lines beyond rule calls, crashes and restarts:\n{}",
+            recorded.summary
+        );
     }
 
     /// FIFO links never reorder messages between a fixed pair.
@@ -178,10 +230,10 @@ proptest! {
             0..40,
         ),
     ) {
-        let a = run(seed, &acts, 4);
-        let b = run(seed, &acts, 4);
-        prop_assert_eq!(a.0, b.0);
-        prop_assert_eq!(a.1, b.1);
+        let a = run(seed, &acts, 4, false);
+        let b = run(seed, &acts, 4, false);
+        prop_assert_eq!(a.logs, b.logs);
+        prop_assert_eq!(a.counters, b.counters);
     }
 
     /// A degrade rule with every knob at zero is byte-identical to no rule
@@ -199,7 +251,7 @@ proptest! {
             1..30,
         ),
     ) {
-        let without = run(seed, &acts, 4);
+        let without = run(seed, &acts, 4, false);
         let mut w = WorldBuilder::new(seed).build(4, |_| Recorder::default());
         w.degrade_pairs(
             bidirectional_pairs(&[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]),
@@ -217,8 +269,8 @@ proptest! {
         }
         w.run_for(1000);
         let logs: Vec<_> = (0..4).map(|i| w.app(NodeId(i)).seen.clone()).collect();
-        prop_assert_eq!(logs, without.0);
-        prop_assert_eq!(w.trace().counters, without.1);
+        prop_assert_eq!(logs, without.logs);
+        prop_assert_eq!(w.trace().counters, without.counters);
     }
 
     /// A crashed node receives nothing; after restart it receives again.
