@@ -2,10 +2,16 @@
 //!
 //! The paper's NEAT is 1553 lines of Java driving real machines; ours is a
 //! virtual-time engine, so the relevant costs are simulator throughput,
-//! partition-rule installation/heal, and the per-operation cost of the
-//! globally ordered test engine.
+//! partition-rule installation/heal, the per-operation cost of the
+//! globally ordered test engine, and the register checker's cost as the
+//! history grows.
+
+use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use neat::checkers::{check_register, RegisterSemantics};
+use neat::{History, Op, OpRecord, Outcome};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use simnet::{
     net::bidirectional_pairs, Application, Ctx, NodeId, TimerId, WorldBuilder,
 };
@@ -112,9 +118,63 @@ fn engine_ops(c: &mut Criterion) {
     g.finish();
 }
 
+/// A seeded kv-like history of `ops` overlapping reads and writes (1:1)
+/// over 32 keys skewed toward the first few, with unique written values,
+/// 2% failed and 3% timed-out writes, and reads that return the last value
+/// issued for their key. The final state holds each key's last value.
+fn kv_history(ops: usize, seed: u64) -> (History, BTreeMap<String, Option<u64>>) {
+    const KEYS: usize = 32;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let names: Vec<String> = (0..KEYS).map(|k| format!("key{k}")).collect();
+    let mut state = [None; KEYS];
+    let mut h = History::new();
+    let mut t = 0u64;
+    for i in 0..ops {
+        let k = rng.gen_range(0..KEYS);
+        let k = rng.gen_range(0..=k);
+        let key = names[k].clone();
+        t += rng.gen_range(0..4u64);
+        let (start, end) = (t, t + rng.gen_range(1..20u64));
+        let (op, outcome) = if rng.gen_bool(0.5) {
+            let val = i as u64;
+            let outcome = match rng.gen_range(0..100u32) {
+                0..=1 => Outcome::Fail,
+                2..=4 => Outcome::Timeout,
+                _ => Outcome::Ok(None),
+            };
+            if outcome != Outcome::Fail {
+                state[k] = Some(val);
+            }
+            (Op::Write { key, val }, outcome)
+        } else {
+            (Op::Read { key }, Outcome::Ok(state[k]))
+        };
+        h.push(OpRecord {
+            client: NodeId(i % 8),
+            op,
+            outcome,
+            start,
+            end,
+        });
+    }
+    let fin = names.iter().cloned().zip(state).collect();
+    (h, fin)
+}
+
+fn register_checker(c: &mut Criterion) {
+    let mut g = c.benchmark_group("checkers/register");
+    for ops in [1_000usize, 10_000, 100_000] {
+        let (h, fin) = kv_history(ops, 8);
+        g.bench_with_input(BenchmarkId::new("kv_history_ops", ops), &ops, |b, _| {
+            b.iter(|| check_register(&h, RegisterSemantics::Strong, &fin).len())
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = simulator_throughput, partition_rules, engine_ops
+    targets = simulator_throughput, partition_rules, engine_ops, register_checker
 }
 criterion_main!(benches);

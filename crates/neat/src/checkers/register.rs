@@ -2,7 +2,7 @@
 //! reappearance of deleted data.
 //!
 //! Semantics (per key; all comparisons use real-time precedence, where `a`
-//! precedes `b` iff `a.end < b.start`, so concurrent operations constrain
+//! precedes `b` iff `a.end <= b.start`, so concurrent operations constrain
 //! nothing):
 //!
 //! - **Dirty read** — a read returned the value of a write whose outcome was
@@ -20,8 +20,24 @@
 //!
 //! Timed-out operations have unknown effect, so they both *may* explain a
 //! final value and *may not* be required to survive.
+//!
+//! # Cost
+//!
+//! [`check_register`] is O(n log n) in the history length: one stable sort
+//! groups the records by key, then each key is indexed once (its
+//! acknowledged mutations sorted by completion time, and one summary per
+//! written value) so that every read costs O(log m) in the key's `m`
+//! mutations. Only the rarely taken classification of an unexplainable
+//! final value scans the key's mutations again, once per key.
+//!
+//! The latest acknowledged mutation preceding a read is the one with the
+//! greatest `end` among those with `end <= read.start` (inclusive, like
+//! [`OpRecord::precedes`]); of several with that same `end`, the one
+//! recorded last in the history wins.
 
 use std::collections::BTreeMap;
+
+use simnet::Time;
 
 use crate::history::{History, Op, OpRecord, Outcome};
 
@@ -38,23 +54,107 @@ pub enum RegisterSemantics {
 }
 
 /// A write-like event on a key: either a write of `Some(v)` or a delete.
+#[derive(Clone, Copy)]
 struct Mutation<'a> {
     rec: &'a OpRecord,
     /// `Some(v)` for writes, `None` for deletes.
     val: Option<u64>,
 }
 
-fn mutations<'a>(hist: &'a History, key: &'a str) -> Vec<Mutation<'a>> {
-    hist.for_key(key)
-        .filter_map(|r| match &r.op {
-            Op::Write { val, .. } => Some(Mutation {
-                rec: r,
-                val: Some(*val),
-            }),
-            Op::Delete { .. } => Some(Mutation { rec: r, val: None }),
-            _ => None,
-        })
-        .collect()
+/// What the checks need to know about every mutation of one value.
+#[derive(Clone, Copy)]
+struct ValueSummary {
+    /// Whether every mutation that wrote this value (`None`: deletes)
+    /// was an acknowledged failure.
+    all_failed: bool,
+    /// Whether any of them timed out.
+    timed_out: bool,
+    /// The latest `end` among them.
+    max_end: Time,
+}
+
+/// One key's mutations, indexed for the read and final-state checks. The
+/// buffers are reused from key to key.
+#[derive(Default)]
+struct KeyIndex<'a> {
+    /// Writes and deletes, in history order.
+    muts: Vec<Mutation<'a>>,
+    /// Acknowledged mutations beside their `end`, sorted by `(end, history
+    /// position)`; the binary search reads `end` without a pointer chase.
+    acked: Vec<(Time, Mutation<'a>)>,
+    /// One summary per value, sorted by value.
+    values: Vec<(Option<u64>, ValueSummary)>,
+    /// The latest `start` of any acknowledged mutation.
+    max_ok_start: Option<Time>,
+}
+
+impl<'a> KeyIndex<'a> {
+    fn rebuild(&mut self, recs: &[(&str, &'a OpRecord)]) {
+        self.muts.clear();
+        self.muts
+            .extend(recs.iter().filter_map(|&(_, rec)| match &rec.op {
+                Op::Write { val, .. } => Some(Mutation {
+                    rec,
+                    val: Some(*val),
+                }),
+                Op::Delete { .. } => Some(Mutation { rec, val: None }),
+                _ => None,
+            }));
+
+        self.acked.clear();
+        self.acked.extend(
+            self.muts
+                .iter()
+                .filter(|m| m.rec.outcome.is_ok())
+                .map(|&m| (m.rec.end, m)),
+        );
+        // Stable: equal ends stay in history order.
+        self.acked.sort_by_key(|&(end, _)| end);
+        self.max_ok_start = self.acked.iter().map(|(_, m)| m.rec.start).max();
+
+        self.values.clear();
+        self.values.extend(self.muts.iter().map(|m| {
+            let summary = ValueSummary {
+                all_failed: m.rec.outcome == Outcome::Fail,
+                timed_out: m.rec.outcome == Outcome::Timeout,
+                max_end: m.rec.end,
+            };
+            (m.val, summary)
+        }));
+        self.values.sort_unstable_by_key(|&(val, _)| val);
+        self.values.dedup_by(|(val, next), (kept_val, kept)| {
+            if val != kept_val {
+                return false;
+            }
+            kept.all_failed &= next.all_failed;
+            kept.timed_out |= next.timed_out;
+            kept.max_end = kept.max_end.max(next.max_end);
+            true
+        });
+    }
+
+    /// The summary of every mutation that wrote `val`, if any did.
+    fn value(&self, val: Option<u64>) -> Option<&ValueSummary> {
+        self.values
+            .binary_search_by_key(&val, |&(v, _)| v)
+            .ok()
+            .map(|i| &self.values[i].1)
+    }
+
+    /// The latest acknowledged mutation fully completed before `read` began.
+    fn latest_before(&self, read: &OpRecord) -> Option<Mutation<'a>> {
+        let n = self.acked.partition_point(|&(end, _)| end <= read.start);
+        n.checked_sub(1).map(|i| self.acked[i].1)
+    }
+
+    /// Acknowledged mutations that no later acknowledged mutation
+    /// superseded, in history order.
+    fn ok_candidates(&self) -> impl Iterator<Item = &Mutation<'a>> {
+        let superseded = |m: &Mutation<'_>| self.max_ok_start.is_some_and(|s| m.rec.end <= s);
+        self.muts
+            .iter()
+            .filter(move |m| m.rec.outcome.is_ok() && !superseded(m))
+    }
 }
 
 /// Checks the register history against the final state.
@@ -69,24 +169,30 @@ pub fn check_register(
     final_state: &BTreeMap<String, Option<u64>>,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    for key in hist.keys() {
-        let muts = mutations(hist, &key);
-        check_reads(hist, &key, &muts, semantics, &mut out);
-        if let Some(final_val) = final_state.get(&key) {
-            check_final(&key, &muts, *final_val, &mut out);
+    // Each record beside its key, so the sort compares without matching
+    // on the op. Stable: each key's records stay in history order.
+    let mut recs: Vec<(&str, &OpRecord)> = hist.records().iter().map(|r| (r.op.key(), r)).collect();
+    recs.sort_by_key(|&(key, _)| key);
+    let mut index = KeyIndex::default();
+    for group in recs.chunk_by(|a, b| a.0 == b.0) {
+        let key = group[0].0;
+        index.rebuild(group);
+        check_reads(key, group, &index, semantics, &mut out);
+        if let Some(final_val) = final_state.get(key) {
+            check_final(key, &index, *final_val, &mut out);
         }
     }
     out
 }
 
 fn check_reads(
-    hist: &History,
     key: &str,
-    muts: &[Mutation<'_>],
+    recs: &[(&str, &OpRecord)],
+    index: &KeyIndex<'_>,
     semantics: RegisterSemantics,
     out: &mut Vec<Violation>,
 ) {
-    for read in hist.for_key(key) {
+    for &(_, read) in recs {
         if !matches!(read.op, Op::Read { .. }) {
             continue;
         }
@@ -95,9 +201,7 @@ fn check_reads(
         };
         // Dirty read: the returned value only exists as a failed write.
         if let Some(v) = ret {
-            let writers: Vec<&Mutation<'_>> =
-                muts.iter().filter(|m| m.val == Some(v)).collect();
-            if !writers.is_empty() && writers.iter().all(|m| m.rec.outcome == Outcome::Fail) {
+            if index.value(ret).is_some_and(|s| s.all_failed) {
                 out.push(Violation::new(
                     ViolationKind::DirtyRead,
                     format!("read of {key:?} returned {v}, written only by a FAILED write"),
@@ -106,52 +210,41 @@ fn check_reads(
             }
         }
         if semantics == RegisterSemantics::Strong {
-            check_stale(key, muts, read, ret, out);
+            check_stale(key, index, read, ret, out);
         }
     }
 }
 
 fn check_stale(
     key: &str,
-    muts: &[Mutation<'_>],
+    index: &KeyIndex<'_>,
     read: &OpRecord,
     ret: Option<u64>,
     out: &mut Vec<Violation>,
 ) {
-    // The latest acknowledged mutation fully completed before the read began.
-    let Some(latest) = muts
-        .iter()
-        .filter(|m| m.rec.outcome.is_ok() && m.rec.precedes(read))
-        .max_by_key(|m| m.rec.end)
-    else {
+    let Some(latest) = index.latest_before(read) else {
         return;
     };
     if ret == latest.val {
         return;
     }
     // The read returned something else. That is only stale if what it
-    // returned is strictly *older* than `latest`; returning a concurrent or
-    // newer (possibly timed-out) mutation is legal.
-    // A timed-out mutation's effect may land arbitrarily late, so it never
-    // counts as strictly older than `latest`.
-    let ret_is_older = match ret {
-        Some(v) => muts
-            .iter()
-            .filter(|m| m.val == Some(v))
-            .all(|m| m.rec.outcome != Outcome::Timeout && m.rec.precedes(latest.rec)),
+    // returned is strictly *older* than `latest`: every mutation of it
+    // completed before `latest` began. Returning a concurrent or newer
+    // (possibly timed-out) mutation is legal.
+    let older = |s: &ValueSummary| s.max_end <= latest.rec.start;
+    let stale = match (ret, index.value(ret)) {
+        // A timed-out mutation's effect may land arbitrarily late, so it
+        // never counts as strictly older than `latest`.
+        (Some(_), Some(s)) => !s.timed_out && older(s),
+        // A value never written at all is corruption, reported via
+        // final-state checking; only flag staleness for values we can date.
+        (Some(_), None) => false,
         // `None` (missing) is older unless some delete is concurrent with or
         // after `latest`.
-        None => !muts
-            .iter()
-            .any(|m| m.val.is_none() && !m.rec.precedes(latest.rec)),
+        (None, s) => s.is_none_or(older),
     };
-    // A value never written at all is corruption, reported via final-state
-    // checking; only flag staleness for values we can date.
-    let known = match ret {
-        Some(v) => muts.iter().any(|m| m.val == Some(v)),
-        None => true,
-    };
-    if known && ret_is_older {
+    if stale {
         out.push(Violation::new(
             ViolationKind::StaleRead,
             format!(
@@ -162,67 +255,38 @@ fn check_stale(
     }
 }
 
-fn check_final(
-    key: &str,
-    muts: &[Mutation<'_>],
-    final_val: Option<u64>,
-    out: &mut Vec<Violation>,
-) {
+fn check_final(key: &str, index: &KeyIndex<'_>, final_val: Option<u64>, out: &mut Vec<Violation>) {
     // Candidate final values: acknowledged mutations not superseded by a
     // later acknowledged mutation, plus every timed-out mutation (unknown
     // effect), plus `None` if the key might never have been created.
-    let superseded = |m: &Mutation<'_>| {
-        muts.iter()
-            .any(|n| n.rec.outcome.is_ok() && m.rec.precedes(n.rec))
-    };
-    let ok_candidates: Vec<&Mutation<'_>> = muts
-        .iter()
-        .filter(|m| m.rec.outcome.is_ok() && !superseded(m))
-        .collect();
-    let unknown_candidates: Vec<&Mutation<'_>> = muts
-        .iter()
-        .filter(|m| m.rec.outcome == Outcome::Timeout)
-        .collect();
-
-    let explainable = |v: Option<u64>| {
-        ok_candidates.iter().any(|m| m.val == v)
-            || unknown_candidates.iter().any(|m| m.val == v)
-            || (v.is_none() && ok_candidates.is_empty())
-    };
-
-    if explainable(final_val) {
+    let explainable = index.ok_candidates().any(|m| m.val == final_val)
+        || index.value(final_val).is_some_and(|s| s.timed_out)
+        || (final_val.is_none() && index.ok_candidates().next().is_none());
+    if explainable {
         return;
     }
 
     // Unexplainable final state: classify it.
     if let Some(v) = final_val {
-        let ever_written = muts.iter().any(|m| m.val == Some(v));
-        if !ever_written {
+        let Some(writers) = index.value(final_val) else {
             out.push(Violation::new(
                 ViolationKind::DataCorruption,
                 format!("final value {v} of {key:?} was never written"),
             ));
             return;
-        }
-        let only_failed_writers = muts
-            .iter()
-            .filter(|m| m.val == Some(v))
-            .all(|m| m.rec.outcome == Outcome::Fail);
-        if only_failed_writers {
+        };
+        if writers.all_failed {
             out.push(Violation::new(
                 ViolationKind::DataCorruption,
                 format!("key {key:?} durably holds {v}, which was only written by a FAILED write"),
             ));
             return;
         }
-        let deleted_after = muts.iter().any(|d| {
-            d.val.is_none()
-                && d.rec.outcome.is_ok()
-                && muts
-                    .iter()
-                    .filter(|w| w.val == Some(v))
-                    .all(|w| w.rec.precedes(d.rec))
-        });
+        // An acknowledged delete that began after every write of `v` ended.
+        let deleted_after = index
+            .muts
+            .iter()
+            .any(|d| d.val.is_none() && d.rec.outcome.is_ok() && writers.max_end <= d.rec.start);
         if deleted_after {
             out.push(Violation::new(
                 ViolationKind::ReappearanceOfDeletedData,
@@ -231,8 +295,8 @@ fn check_final(
             return;
         }
     }
-    let lost: Vec<String> = ok_candidates
-        .iter()
+    let lost: Vec<String> = index
+        .ok_candidates()
         .filter(|m| m.val != final_val)
         .map(|m| format!("{:?}", m.val))
         .collect();

@@ -158,12 +158,11 @@ impl Server {
     }
 
     /// Data replicas (everyone but the arbiter).
-    fn data_replicas(&self) -> Vec<NodeId> {
+    fn data_replicas(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.servers
             .iter()
             .copied()
             .filter(|s| Some(*s) != self.arbiter)
-            .collect()
     }
 
     /// Votes needed to win an election (majority of all servers).
@@ -173,7 +172,7 @@ impl Server {
 
     /// Total applies (including the leader's own) needed to ack a write.
     fn needed_acks(&self) -> usize {
-        let n = self.data_replicas().len();
+        let n = self.data_replicas().count();
         match self.cfg.replication {
             Replication::Async => 1,
             Replication::SyncMajority => n / 2 + 1,
@@ -233,15 +232,22 @@ impl Server {
 
     fn apply_to(kv: &mut BTreeMap<String, u64>, e: &Entry) {
         match &e.op {
-            EntryOp::Put(v) => {
-                kv.insert(e.key.clone(), *v);
-            }
+            // Update in place; clone the key only when it is new.
+            EntryOp::Put(v) => match kv.get_mut(&e.key) {
+                Some(slot) => *slot = *v,
+                None => {
+                    kv.insert(e.key.clone(), *v);
+                }
+            },
             EntryOp::Delete => {
                 kv.remove(&e.key);
             }
-            EntryOp::Incr(by) => {
-                *kv.entry(e.key.clone()).or_insert(0) += by;
-            }
+            EntryOp::Incr(by) => match kv.get_mut(&e.key) {
+                Some(slot) => *slot += by,
+                None => {
+                    kv.insert(e.key.clone(), *by);
+                }
+            },
         }
     }
 
@@ -375,7 +381,7 @@ impl Server {
     fn broadcast_replicate(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let summary = self.summary();
         let log = self.log.clone();
-        let replicas = self.data_replicas();
+        let replicas: Vec<NodeId> = self.data_replicas().collect();
         ctx.broadcast(&replicas, Msg::Replicate { summary, log });
     }
 
@@ -793,12 +799,11 @@ impl Server {
         self.match_len.insert(from, acked_len.min(self.log.len()));
         let mut lens: Vec<usize> = self
             .data_replicas()
-            .iter()
             .map(|r| {
-                if *r == self.me {
+                if r == self.me {
                     self.log.len()
                 } else {
-                    self.match_len.get(r).copied().unwrap_or(0)
+                    self.match_len.get(&r).copied().unwrap_or(0)
                 }
             })
             .collect();
@@ -1022,7 +1027,10 @@ mod tests {
             Some(NodeId(2)),
             Config::mongodb(),
         );
-        assert_eq!(s.data_replicas(), vec![NodeId(0), NodeId(1)]);
+        assert_eq!(
+            s.data_replicas().collect::<Vec<_>>(),
+            vec![NodeId(0), NodeId(1)]
+        );
         assert_eq!(s.vote_majority(), 2, "the arbiter still votes");
     }
 

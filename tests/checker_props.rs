@@ -279,3 +279,328 @@ proptest! {
         }
     }
 }
+
+/// The quadratic register checker as it stood before indexing, kept here
+/// as the executable specification that `check_register` must match byte
+/// for byte. It rescans the key's mutations for every read.
+mod reference {
+    use std::collections::BTreeMap;
+
+    use neat_repro::neat::{
+        checkers::{RegisterSemantics, Violation, ViolationKind},
+        History, Op, OpRecord, Outcome,
+    };
+
+    /// Distinct keys appearing in the history, sorted.
+    fn keys(hist: &History) -> Vec<String> {
+        let mut ks: Vec<String> = hist.records().iter().map(|r| r.op.key().to_string()).collect();
+        ks.sort();
+        ks.dedup();
+        ks
+    }
+
+    /// A write-like event on a key: either a write of `Some(v)` or a delete.
+    struct Mutation<'a> {
+        rec: &'a OpRecord,
+        /// `Some(v)` for writes, `None` for deletes.
+        val: Option<u64>,
+    }
+
+    fn mutations<'a>(hist: &'a History, key: &'a str) -> Vec<Mutation<'a>> {
+        hist.for_key(key)
+            .filter_map(|r| match &r.op {
+                Op::Write { val, .. } => Some(Mutation {
+                    rec: r,
+                    val: Some(*val),
+                }),
+                Op::Delete { .. } => Some(Mutation { rec: r, val: None }),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Checks the register history against the final state.
+    ///
+    /// `final_state` maps each key to the value observed after every partition
+    /// healed and the system quiesced (`None` = key absent). Keys absent from
+    /// the map are not checked for loss/reappearance (useful when the final
+    /// read itself was unavailable).
+    pub fn check_register(
+        hist: &History,
+        semantics: RegisterSemantics,
+        final_state: &BTreeMap<String, Option<u64>>,
+    ) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for key in keys(hist) {
+            let muts = mutations(hist, &key);
+            check_reads(hist, &key, &muts, semantics, &mut out);
+            if let Some(final_val) = final_state.get(&key) {
+                check_final(&key, &muts, *final_val, &mut out);
+            }
+        }
+        out
+    }
+
+    fn check_reads(
+        hist: &History,
+        key: &str,
+        muts: &[Mutation<'_>],
+        semantics: RegisterSemantics,
+        out: &mut Vec<Violation>,
+    ) {
+        for read in hist.for_key(key) {
+            if !matches!(read.op, Op::Read { .. }) {
+                continue;
+            }
+            let Outcome::Ok(ret) = read.outcome else {
+                continue;
+            };
+            // Dirty read: the returned value only exists as a failed write.
+            if let Some(v) = ret {
+                let writers: Vec<&Mutation<'_>> =
+                    muts.iter().filter(|m| m.val == Some(v)).collect();
+                if !writers.is_empty() && writers.iter().all(|m| m.rec.outcome == Outcome::Fail) {
+                    out.push(Violation::new(
+                        ViolationKind::DirtyRead,
+                        format!("read of {key:?} returned {v}, written only by a FAILED write"),
+                    ));
+                    continue;
+                }
+            }
+            if semantics == RegisterSemantics::Strong {
+                check_stale(key, muts, read, ret, out);
+            }
+        }
+    }
+
+    fn check_stale(
+        key: &str,
+        muts: &[Mutation<'_>],
+        read: &OpRecord,
+        ret: Option<u64>,
+        out: &mut Vec<Violation>,
+    ) {
+        // The latest acknowledged mutation fully completed before the read began.
+        let Some(latest) = muts
+            .iter()
+            .filter(|m| m.rec.outcome.is_ok() && m.rec.precedes(read))
+            .max_by_key(|m| m.rec.end)
+        else {
+            return;
+        };
+        if ret == latest.val {
+            return;
+        }
+        // The read returned something else. That is only stale if what it
+        // returned is strictly *older* than `latest`; returning a concurrent or
+        // newer (possibly timed-out) mutation is legal.
+        // A timed-out mutation's effect may land arbitrarily late, so it never
+        // counts as strictly older than `latest`.
+        let ret_is_older = match ret {
+            Some(v) => muts
+                .iter()
+                .filter(|m| m.val == Some(v))
+                .all(|m| m.rec.outcome != Outcome::Timeout && m.rec.precedes(latest.rec)),
+            // `None` (missing) is older unless some delete is concurrent with or
+            // after `latest`.
+            None => !muts
+                .iter()
+                .any(|m| m.val.is_none() && !m.rec.precedes(latest.rec)),
+        };
+        // A value never written at all is corruption, reported via final-state
+        // checking; only flag staleness for values we can date.
+        let known = match ret {
+            Some(v) => muts.iter().any(|m| m.val == Some(v)),
+            None => true,
+        };
+        if known && ret_is_older {
+            out.push(Violation::new(
+                ViolationKind::StaleRead,
+                format!(
+                    "read of {key:?} at t={} returned {ret:?} although write of {:?} completed at t={}",
+                    read.start, latest.val, latest.rec.end
+                ),
+            ));
+        }
+    }
+
+    fn check_final(
+        key: &str,
+        muts: &[Mutation<'_>],
+        final_val: Option<u64>,
+        out: &mut Vec<Violation>,
+    ) {
+        // Candidate final values: acknowledged mutations not superseded by a
+        // later acknowledged mutation, plus every timed-out mutation (unknown
+        // effect), plus `None` if the key might never have been created.
+        let superseded = |m: &Mutation<'_>| {
+            muts.iter()
+                .any(|n| n.rec.outcome.is_ok() && m.rec.precedes(n.rec))
+        };
+        let ok_candidates: Vec<&Mutation<'_>> = muts
+            .iter()
+            .filter(|m| m.rec.outcome.is_ok() && !superseded(m))
+            .collect();
+        let unknown_candidates: Vec<&Mutation<'_>> = muts
+            .iter()
+            .filter(|m| m.rec.outcome == Outcome::Timeout)
+            .collect();
+
+        let explainable = |v: Option<u64>| {
+            ok_candidates.iter().any(|m| m.val == v)
+                || unknown_candidates.iter().any(|m| m.val == v)
+                || (v.is_none() && ok_candidates.is_empty())
+        };
+
+        if explainable(final_val) {
+            return;
+        }
+
+        // Unexplainable final state: classify it.
+        if let Some(v) = final_val {
+            let ever_written = muts.iter().any(|m| m.val == Some(v));
+            if !ever_written {
+                out.push(Violation::new(
+                    ViolationKind::DataCorruption,
+                    format!("final value {v} of {key:?} was never written"),
+                ));
+                return;
+            }
+            let only_failed_writers = muts
+                .iter()
+                .filter(|m| m.val == Some(v))
+                .all(|m| m.rec.outcome == Outcome::Fail);
+            if only_failed_writers {
+                out.push(Violation::new(
+                    ViolationKind::DataCorruption,
+                    format!("key {key:?} durably holds {v}, which was only written by a FAILED write"),
+                ));
+                return;
+            }
+            let deleted_after = muts.iter().any(|d| {
+                d.val.is_none()
+                    && d.rec.outcome.is_ok()
+                    && muts
+                        .iter()
+                        .filter(|w| w.val == Some(v))
+                        .all(|w| w.rec.precedes(d.rec))
+            });
+            if deleted_after {
+                out.push(Violation::new(
+                    ViolationKind::ReappearanceOfDeletedData,
+                    format!("final value {v} of {key:?} had been successfully deleted"),
+                ));
+                return;
+            }
+        }
+        let lost: Vec<String> = ok_candidates
+            .iter()
+            .filter(|m| m.val != final_val)
+            .map(|m| format!("{:?}", m.val))
+            .collect();
+        out.push(Violation::new(
+            ViolationKind::DataLoss,
+            format!(
+                "key {key:?} ended as {final_val:?}; acknowledged surviving mutation(s) {} lost",
+                lost.join(", ")
+            ),
+        ));
+    }
+}
+
+/// Builds a random multi-key register history: writes, reads and deletes
+/// with every outcome, values that repeat, reads of values never written,
+/// touching intervals (`end == start`) and equal `end` times.
+fn random_register_history(parts: &[(u8, u8, u8, u8, u8, u8)]) -> History {
+    const KEYS: [&str; 3] = ["a", "b", "c"];
+    let mut h = History::new();
+    let mut t = 0u64;
+    for &(key, kind, outcome, val, gap, len) in parts {
+        let key = KEYS[usize::from(key) % KEYS.len()].to_string();
+        // Starts never decrease; gaps and lengths of 0 make intervals touch
+        // and completion times coincide.
+        t += u64::from(gap % 3);
+        let (start, end) = (t, t + u64::from(len % 4));
+        // Writes use values 0..4; reads may return 0..6, so 4 and 5 are
+        // never written.
+        let val = u64::from(val);
+        let (op, outcome) = match kind % 3 {
+            0 => {
+                let op = Op::Write { key, val: val % 4 };
+                (op, mutation_outcome(outcome))
+            }
+            1 => {
+                let ret = (val % 7 != 6).then_some(val % 7);
+                let outcome = match outcome % 4 {
+                    0 | 1 => Outcome::Ok(ret),
+                    2 => Outcome::Fail,
+                    _ => Outcome::Timeout,
+                };
+                (Op::Read { key }, outcome)
+            }
+            _ => (Op::Delete { key }, mutation_outcome(outcome)),
+        };
+        h.push(OpRecord {
+            client: NodeId(usize::from(gap % 2)),
+            op,
+            outcome,
+            start,
+            end,
+        });
+    }
+    h
+}
+
+fn mutation_outcome(outcome: u8) -> Outcome {
+    match outcome % 4 {
+        0 | 1 => Outcome::Ok(None),
+        2 => Outcome::Fail,
+        _ => Outcome::Timeout,
+    }
+}
+
+/// A final state over keys `a`..`d` (`d` never appears in the history):
+/// each key is absent (unchecked), `None`, or a value in 0..6.
+fn random_final_state(picks: &[u8]) -> BTreeMap<String, Option<u64>> {
+    let mut fin = BTreeMap::new();
+    for (key, &pick) in ["a", "b", "c", "d"].iter().zip(picks) {
+        match pick % 8 {
+            0 => {}
+            1 => {
+                fin.insert(key.to_string(), None);
+            }
+            v => {
+                fin.insert(key.to_string(), Some(u64::from(v - 2)));
+            }
+        }
+    }
+    fin
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The indexed register checker reports exactly what the quadratic
+    /// reference reports: the same violations, in the same order, with the
+    /// same text, under both semantics.
+    #[test]
+    fn register_checker_matches_reference(
+        parts in proptest::collection::vec((0u8..3, 0u8..3, 0u8..4, 0u8..7, 0u8..3, 0u8..4), 0..64),
+        picks in proptest::collection::vec(0u8..8, 4..5),
+    ) {
+        let h = random_register_history(&parts);
+        let fin = random_final_state(&picks);
+        for semantics in [RegisterSemantics::Strong, RegisterSemantics::Eventual] {
+            let got = check_register(&h, semantics, &fin);
+            let want = reference::check_register(&h, semantics, &fin);
+            prop_assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{:?}\n{}\nfinal: {:?}",
+                semantics,
+                h.render(),
+                fin
+            );
+        }
+    }
+}
